@@ -1,8 +1,9 @@
 """PERF-PARALLEL — multi-core scaling of the chunk data path.
 
-The chunked backend's hot loops (batch ingest, recode, per-chunk query
-evaluation) fan out to a process pool (``repro.storage.parallel``); the
-claims measured here:
+The chunked backend's CPU-heavy loops (recode and per-chunk query
+evaluation) fan out to a process pool (``repro.storage.parallel``);
+batch ingest merges serially, because its pool lost to ``workers=1`` on
+a two-core machine.  The claims measured here:
 
 * **Determinism is free.**  Whatever the worker count, the produced
   archive bytes and query answers are identical to a serial run —
@@ -78,44 +79,6 @@ def _store_bytes(path: str) -> int:
     )
 
 
-@pytest.fixture(scope="module")
-def ingest_versions():
-    """A lighter sequence for the (much slower) ingest scaling rounds."""
-    return omim_versions(8, initial_records=250)
-
-
-@pytest.mark.parametrize("workers", WORKERS)
-def test_parallel_ingest_scaling(
-    benchmark, workers, ingest_versions, tmp_path_factory
-):
-    """Batch ingest under 1/2/4/8 workers; output must match serial."""
-    counter = iter(range(1_000_000))
-
-    def setup():
-        base = tmp_path_factory.mktemp(f"pingest-{workers}-{next(counter)}")
-        return (os.path.join(base, "store"),), {}
-
-    def ingest(path):
-        backend = create_archive(
-            path,
-            OMIM_KEY_TEXT,
-            kind="chunked",
-            chunk_count=8,
-            codec="gzip",
-            workers=workers,
-        )
-        backend.ingest_batch(v.copy() for v in ingest_versions)
-        backend.close()
-        return digest_store(path)
-
-    digests = benchmark.pedantic(ingest, setup=setup, rounds=1, iterations=1)
-    REFERENCE.setdefault("ingest", digests)
-    assert digests == REFERENCE["ingest"], "parallel ingest diverged from serial"
-    RUNS[("ingest", workers)] = benchmark.stats.stats.min
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["cpu_cores"] = CORES
-
-
 @pytest.mark.parametrize("workers", WORKERS)
 def test_parallel_recode_scaling(
     benchmark, workers, dense_store, tmp_path_factory
@@ -172,7 +135,7 @@ def test_parallel_query_scaling(benchmark, workers, dense_store):
 def test_scaling_summary(results_dir):
     """Render the scaling table; on ≥4 real cores, 4-worker recode
     must beat serial by ≥2×."""
-    operations = ("ingest", "recode", "query")
+    operations = ("recode", "query")
     assert all((op, w) in RUNS for op in operations for w in WORKERS)
     lines = [
         "PERF-PARALLEL: chunk-loop scaling "
@@ -186,9 +149,12 @@ def test_scaling_summary(results_dir):
             + " ".join(f"{RUNS[(op, workers)]:>12.3f}" for op in operations)
         )
     lines.append("")
-    for op in operations:
-        speedup = RUNS[(op, 1)] / RUNS[(op, 4)]
-        lines.append(f"4-worker speedup, {op}: {speedup:.2f}x")
+    recode_speedup = RUNS[("recode", 1)] / RUNS[("recode", 4)]
+    query_speedup = RUNS[("query", 1)] / RUNS[("query", 2)]
+    lines.append(
+        f"speedup: recode {recode_speedup:.2f}x at 4 workers, "
+        f"query {query_speedup:.2f}x at 2 workers"
+    )
     lines.append(
         "(byte-identity with the serial outputs was asserted in every round)"
     )

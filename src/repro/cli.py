@@ -114,18 +114,14 @@ def cmd_add(args: argparse.Namespace) -> int:
         (parse_file(path) for path in args.versions),
         on_version=lambda number, stats: per_version.__setitem__(number, stats),
     )
-    for offset, version_path in enumerate(args.versions, start=1):
-        number = base + offset
-        stats = per_version.get(number)
-        if stats is not None:
-            print(
-                f"merged {version_path} as version {number} "
-                f"(matched {stats.nodes_matched}, "
-                f"inserted {stats.nodes_inserted}, "
-                f"content changes {stats.frontier_content_changes})"
-            )
-        else:
-            print(f"merged {version_path} as version {number}")
+    for number, version_path in enumerate(args.versions, start=base + 1):
+        stats = per_version[number]
+        print(
+            f"merged {version_path} as version {number} "
+            f"(matched {stats.nodes_matched}, "
+            f"inserted {stats.nodes_inserted}, "
+            f"content changes {stats.frontier_content_changes})"
+        )
     backend.close()
     return 0
 
@@ -192,7 +188,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             chunk_count=args.chunks,
             options=ArchiveOptions(compaction=args.compaction),
             codec=args.codec,
-            workers=args.workers,
         )
     base = backend.last_version
     per_version: dict[int, object] = {}
@@ -200,18 +195,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         (parse_file(path) for path in files),
         on_version=lambda number, stats: per_version.__setitem__(number, stats),
     )
-    for offset, version_path in enumerate(files, start=1):
-        number = base + offset
-        stats = per_version.get(number)
-        if stats is not None:
-            print(
-                f"merged {version_path} as version {number} "
-                f"(visited {stats.nodes_visited()}, "
-                f"skipped {stats.subtrees_skipped} subtrees "
-                f"/ {stats.nodes_skipped} nodes)"
-            )
-        else:
-            print(f"merged {version_path} as version {number}")
+    for number, version_path in enumerate(files, start=base + 1):
+        stats = per_version[number]
+        print(
+            f"merged {version_path} as version {number} "
+            f"(visited {stats.nodes_visited()}, "
+            f"skipped {stats.subtrees_skipped} subtrees "
+            f"/ {stats.nodes_skipped} nodes)"
+        )
     print(
         f"ingested {total.versions} versions: {total.nodes_visited()} node visits, "
         f"{total.nodes_inserted} inserted, {total.subtrees_skipped} subtrees "
@@ -513,9 +504,9 @@ def _add_workers_option(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="process-pool width for per-chunk work on the chunked "
-        "backend (default 1 = serial; output is byte-identical "
-        "either way)",
+        help="process-pool width for per-chunk recode/query work on "
+        "the chunked backend (default 1 = serial; output is "
+        "byte-identical either way)",
     )
 
 
@@ -556,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store frontier content as SCCS weaves (further compaction)",
     )
     _add_backend_options(p_ingest)
-    _add_workers_option(p_ingest)
     _add_remote_option(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 

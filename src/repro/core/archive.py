@@ -19,10 +19,9 @@ every ``add_version`` bumps; two caches key off it:
   so ``history`` resolves a path step with one binary search instead of
   a linear label scan.
 
-The same counter is what external indexes
-(:class:`~repro.indexes.keyindex.KeyIndex`,
-:class:`~repro.indexes.timestamp_tree.TimestampTreeIndex`) watch to
-refresh themselves instead of silently serving a stale tree.
+The same counter is what the external
+:class:`~repro.indexes.keyindex.KeyIndex` watches to refresh itself
+instead of silently serving a stale index.
 
 Retrieval shares frontier content copy-on-write style: the elements it
 returns reference the archive's stored content nodes directly (the

@@ -21,10 +21,9 @@ or, equivalently, ``archive.add_versions(documents)``.
 
 Each merged version bumps the archive's mutation counter, so the
 read-path caches (the archive-resident timestamp trees, the history
-token lists, and any external :class:`~repro.indexes.keyindex.KeyIndex`
-/ :class:`~repro.indexes.timestamp_tree.TimestampTreeIndex`) notice the
-batch and refresh lazily on the next query — ingestion itself never
-pays to keep them warm.
+token lists, and any external :class:`~repro.indexes.keyindex.KeyIndex`)
+notice the batch and refresh lazily on the next query — ingestion
+itself never pays to keep them warm.
 """
 
 from __future__ import annotations

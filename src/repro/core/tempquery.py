@@ -9,10 +9,12 @@ element.  This module produces such descriptions:
   grouped by element: added, deleted, and content-changed, each
   identified by its key path;
 * :func:`keyed_diff` — the same report computed directly from two
-  documents (the DeltaXML-style keyed comparison of Sec. 8);
-* :func:`first_appearance` / :func:`last_change` — the queries of the
-  introduction ("to find when a given observation first appeared ...
-  or when it was last changed").
+  documents (the DeltaXML-style keyed comparison of Sec. 8).
+
+The introduction's point queries ("to find when a given observation
+first appeared ... or when it was last changed") are answered by the
+query facade: ``repro.open(archive).first_appearance(path)`` and
+``.last_change(path)``.
 """
 
 from __future__ import annotations
@@ -181,41 +183,3 @@ def keyed_diff(
     report.from_version = 1
     report.to_version = 2
     return report
-
-def first_appearance(archive: Archive, path: str) -> int:
-    """The version in which the element at ``path`` first existed.
-
-    .. deprecated:: use ``repro.open(archive).first_appearance(path)``
-       — this is now a thin shim over the :class:`ArchiveDB` facade,
-       which answers through the key index and raises a clear
-       :class:`ArchiveError` for paths that never existed.
-    """
-    import warnings
-
-    warnings.warn(
-        "tempquery.first_appearance is deprecated; use "
-        "repro.open(...).first_appearance(path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..query.db import ArchiveDB  # local: the facade builds on core
-
-    return ArchiveDB(archive).first_appearance(path)
-
-def last_change(archive: Archive, path: str) -> int:
-    """The version in which the element's content last changed.
-
-    .. deprecated:: use ``repro.open(archive).last_change(path)`` —
-       this is now a thin shim over the :class:`ArchiveDB` facade.
-    """
-    import warnings
-
-    warnings.warn(
-        "tempquery.last_change is deprecated; use "
-        "repro.open(...).last_change(path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..query.db import ArchiveDB  # local: the facade builds on core
-
-    return ArchiveDB(archive).last_change(path)

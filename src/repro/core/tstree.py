@@ -10,8 +10,8 @@ rule of the paper.
 This module holds the tree structure plus the build/patch/search
 primitives; :class:`repro.core.archive.Archive` owns a lazily-built
 cache of these trees keyed by its mutation counter, and
-:class:`repro.indexes.timestamp_tree.TimestampTreeIndex` wraps that
-cache with probe accounting for the Sec. 7.1 experiments.
+``Archive.retrieve(version, probes=...)`` reports the probe accounting
+the Sec. 7.1 experiments check.
 
 ``patch_timestamp_tree`` is what makes the trees cheap to keep current:
 after a merge lands another version, leaf timestamps are recomputed in

@@ -1,28 +1,26 @@
 """Index structures for efficient temporal queries (Sec. 7).
 
 Timestamp binary trees accelerate version retrieval (Sec. 7.1); sorted
-child-key lists accelerate temporal-history lookups (Sec. 7.2).
+child-key lists accelerate temporal-history lookups (Sec. 7.2).  The
+timestamp trees are owned by :class:`~repro.core.archive.Archive`
+(built lazily, patched as versions land; machinery in
+:mod:`repro.core.tstree`) and re-exported here.
 """
 
-from .bptree import BPlusKeyIndex, BPlusTree
-from .keyindex import IndexRecord, KeyIndex, SortedChildList
-from .timestamp_tree import (
+from ..core.tstree import (
     ProbeCount,
-    TimestampTreeIndex,
     TimestampTreeNode,
     build_timestamp_tree,
     patch_timestamp_tree,
     search_timestamp_tree,
 )
+from .keyindex import IndexRecord, KeyIndex, SortedChildList
 
 __all__ = [
-    "BPlusKeyIndex",
-    "BPlusTree",
     "IndexRecord",
     "KeyIndex",
     "ProbeCount",
     "SortedChildList",
-    "TimestampTreeIndex",
     "TimestampTreeNode",
     "build_timestamp_tree",
     "patch_timestamp_tree",

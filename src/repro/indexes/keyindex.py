@@ -17,7 +17,6 @@ from typing import Optional
 from ..core.archive import (
     Archive,
     ArchiveError,
-    ElementHistory,
     _parse_history_path,
     missing_element_error,
 )
@@ -61,19 +60,16 @@ class KeyIndex:
         self.archive = archive
         self.refresh()
 
-    def refresh(self, archive: Optional[Archive] = None) -> None:
+    def refresh(self) -> None:
         """Rebuild the sorted lists after the archive gained versions.
 
-        Batched ingestion mutates (or, for the persistent chunked store,
-        replaces) the archive as versions land; ``refresh`` re-anchors
-        the index to the current state — optionally to a new ``archive``
-        object — while callers keep holding the same index instance.
-        ``history`` also refreshes automatically whenever the archive's
-        mutation counter has moved since the last build, so an index
-        held across ``add_version`` calls never serves the old tree.
+        Batched ingestion mutates the archive as versions land;
+        ``refresh`` re-anchors the index to the current state while
+        callers keep holding the same index instance.  ``history`` also
+        refreshes automatically whenever the archive's mutation counter
+        has moved since the last build, so an index held across
+        ``add_version`` calls never serves the old tree.
         """
-        if archive is not None:
-            self.archive = archive
         root_timestamp = self.archive.root.timestamp
         if root_timestamp is None:
             raise ArchiveError("Archive root carries no timestamp")
@@ -141,15 +137,3 @@ class KeyIndex:
             current = record.child_list
         assert record is not None
         return record.timestamp.copy(), comparisons[0]
-
-    def element_history(self, path: str) -> ElementHistory:
-        """Full :class:`ElementHistory` of the element at a keyed path.
-
-        The index's ``O(l log d)`` binary searches settle membership
-        (raising when the element is not in this archive — partitioned
-        backends use that to reject non-owning parts cheaply); the
-        pinned archive then renders the ``changes`` content runs, which
-        the fixed-size index records do not store.
-        """
-        self.history(path)
-        return self.archive.history(path)

@@ -11,12 +11,11 @@ with I/O accounting, bounded-memory sorted runs with k-way merging and
 the one-pass stream merge.
 """
 
-from .archiver import ExternalArchiver, PersistentIngestor, archive_to_stream
+from .archiver import ExternalArchiver, archive_to_stream
 from .backend import (
     BACKEND_KINDS,
     FileBackend,
     Manifest,
-    PartitionedBackend,
     RecodeReport,
     StorageBackend,
     create_archive,
@@ -105,9 +104,7 @@ __all__ = [
     "IOStats",
     "Manifest",
     "NodeEvent",
-    "PartitionedBackend",
     "PeekableEvents",
-    "PersistentIngestor",
     "StorageBackend",
     "StreamMergeError",
     "TaskNotPicklable",

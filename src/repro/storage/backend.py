@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Iterable, Optional
 
 from ..core.archive import (
     Archive,
@@ -39,7 +39,6 @@ from ..core.ingest import IngestSession
 from ..core.merge import MergeStats
 from ..core.tempquery import ChangeReport, archive_diff
 from ..core.tstree import ProbeCount
-from ..core.versionset import VersionSet
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from .cache import chunk_cache
@@ -248,8 +247,8 @@ class StorageBackend(abc.ABC):
         self, documents: Iterable[Optional[Element]], on_version: OnVersion = None
     ) -> MergeStats:
         """Merge a sequence of versions; ``on_version(number, stats)``
-        fires per landed version where the backend merges
-        version-at-a-time (batch-oriented backends may skip it)."""
+        fires per version once it is published (every backend reports
+        each version's merge stats, and never for a rolled-back batch)."""
         total = MergeStats()
         for document in documents:
             stats = self.add_version(document)
@@ -345,35 +344,6 @@ class StorageBackend(abc.ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class PartitionedBackend(Protocol):
-    """A backend whose archive is stored as independently-loadable
-    parts sharing the global version numbering — the contract
-    :class:`~repro.storage.archiver.PersistentIngestor` maintains its
-    per-part key and timestamp-tree indexes against.
-    """
-
-    spec: KeySpec
-
-    @property
-    def last_version(self) -> int: ...
-
-    @property
-    def part_count(self) -> int: ...
-
-    def part_exists(self, index: int) -> bool: ...
-
-    def load_part(self, index: int) -> Archive: ...
-
-    def part_presence(self, index: int) -> Optional[VersionSet]: ...
-
-    def ingest_batch(
-        self,
-        documents: Iterable[Optional[Element]],
-        on_chunk: Optional[Callable[[int, Archive], None]] = None,
-        on_version: OnVersion = None,
-    ) -> MergeStats: ...
 
 
 # -- the whole-file backend ---------------------------------------------------
@@ -583,11 +553,14 @@ class FileBackend(StorageBackend):
     ) -> MergeStats:
         """Batch under a shared fingerprint memo; one publish at the end."""
         session = IngestSession(self._ensure_private_archive())
+        merged = []
         for document in documents:
             stats = session.add(document)
-            if on_version is not None:
-                on_version(self.archive.last_version, stats)
+            merged.append((self.archive.last_version, stats))
         self.persist()
+        if on_version is not None:
+            for number, stats in merged:
+                on_version(number, stats)
         return session.stats
 
     def retrieve(
@@ -767,9 +740,9 @@ def open_archive(
     ``on_corrupt`` sets the chunked backend's per-chunk degradation
     policy (``"raise"`` or ``"skip"`` corrupt chunks during retrieval).
     ``workers`` sets the chunk-loop parallelism (a runtime knob, never
-    recorded in the manifest): batch ingest, recode and chunk query
-    fan-out on the chunked backend run per-chunk work in a process
-    pool when it is above 1.
+    recorded in the manifest): recode and chunk query fan-out on the
+    chunked backend run per-chunk work in a process pool when it is
+    above 1.  Batch ingest always merges serially.
     ``recover=False`` opens without running WAL recovery — required for
     read-only snapshot opens that run concurrently with a live writer,
     where replaying (or rolling back) the writer's in-flight staged

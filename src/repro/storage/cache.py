@@ -9,8 +9,8 @@ trees shared by every backend handle that opens for reading.
 
 **Keying and invalidation.**  Entries are keyed by ``(archive root
 path, chunk id, staleness token)``.  The token is the chunk's recorded
-payload checksum from the integrity sidecar — the generation-keyed
-staleness pattern of ``KeyIndex``/PR 9 sharpened to its fixpoint: a WAL
+payload checksum from the integrity sidecar — the mutation-counter
+staleness pattern of ``KeyIndex`` sharpened to its fixpoint: a WAL
 commit that republishes a chunk gives it a new checksum (new key, old
 entry ages out of the LRU), while commits that *don't* touch the chunk
 keep its token — so readers across generations share one decode and a

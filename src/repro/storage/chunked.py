@@ -23,6 +23,7 @@ import os
 from typing import Callable, Iterable, Optional
 
 from ..core.archive import Archive, ArchiveOptions, ArchiveStats, ElementHistory
+from ..core.ingest import IngestSession
 from ..core.merge import MergeStats
 from ..core.tempquery import Change, ChangeReport, _step, archive_diff
 from ..core.tstree import ProbeCount
@@ -46,7 +47,7 @@ from .integrity import (
     ManifestInconsistent,
     validate_policy,
 )
-from .parallel import ExecutionPool, _ingest_chunk_task, _recode_chunk_task
+from .parallel import ExecutionPool, _recode_chunk_task
 from .wal import Commit, WriteAheadLog, atomic_write_text
 
 #: Per-chunk degradation policies for reads over damaged archives.
@@ -63,7 +64,7 @@ def concatenate_parts(parts) -> Optional[Element]:
     ``parts`` yields each chunk's reconstruction (``None`` for chunks
     without content at the version); the first non-``None`` part
     donates the root tag and attributes — the paper's "concatenating
-    the results".  Shared by every chunk-partitioned reader.
+    the results".
     """
     result: Optional[Element] = None
     for part in parts:
@@ -122,28 +123,6 @@ def _chunk_presence_of(archive: Archive) -> VersionSet:
     for child in archive.root.children:
         presence = presence.union(child.effective_timestamp(root_timestamp))
     return presence
-
-
-def route_to_owning_chunk(chunk_count: int, attempt, path: str):
-    """Probe chunks until one answers a keyed-path query.
-
-    ``attempt(index)`` returns ``None`` for chunks with no stored data
-    and raises when the element is not in that chunk (every chunk
-    shares the global version numbering, so the first answer is *the*
-    answer).  Re-raises the last miss when no chunk answers.
-    """
-    last_error: Optional[Exception] = None
-    for index in range(chunk_count):
-        try:
-            result = attempt(index)
-        except Exception as error:  # not in this chunk
-            last_error = error
-            continue
-        if result is not None:
-            return result
-    if last_error is not None:
-        raise last_error
-    raise ChunkedArchiverError(f"No element at {path!r} in any chunk")
 
 
 class ChunkedArchiver(StorageBackend):
@@ -210,9 +189,9 @@ class ChunkedArchiver(StorageBackend):
         #: query execution reads these as before/after deltas).
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Chunk-loop parallelism: batch ingest, recode and chunk query
-        #: fan-out run their per-chunk work through this pool.  The
-        #: default of one worker is the deterministic serial path.
+        #: Chunk-loop parallelism: recode and chunk query fan-out run
+        #: their per-chunk work through this pool.  The default of one
+        #: worker is the deterministic serial path.
         self.pool = ExecutionPool(workers)
         self.workers = self.pool.workers
         os.makedirs(directory, exist_ok=True)
@@ -514,8 +493,8 @@ class ChunkedArchiver(StorageBackend):
 
     @property
     def part_count(self) -> int:
-        """Independently-loadable parts (the ``PartitionedBackend``
-        contract the index-maintaining ingestor runs against)."""
+        """Independently-loadable parts (the chunk files the query
+        facade fans out over)."""
         return self.chunk_count
 
     def part_exists(self, index: int) -> bool:
@@ -527,41 +506,59 @@ class ChunkedArchiver(StorageBackend):
     def part_presence(self, index: int) -> Optional[VersionSet]:
         return self.chunk_presence(index)
 
+    def _commit_chunks(
+        self,
+        partitions: list[dict[int, Element]],
+        merge: Callable[[Archive, list[Optional[Element]]], object],
+    ) -> None:
+        """Merge ``partitions`` chunk by chunk inside one WAL commit.
+
+        For every chunk that is stored or that some version mentions,
+        ``merge(archive, slices)`` runs over the chunk's decoded archive
+        and its slice of every version (``None`` where a version has no
+        records there: an empty version locally, which keeps chunk
+        timestamps globally aligned); the merged chunk then stages.  A
+        failure anywhere aborts the commit, so the archive on disk and
+        this handle's state stay exactly as they were.
+        """
+        version_count = self._version_count + len(partitions)
+        pending = self._checksums.copy()
+        commit = self._wal.begin()
+        try:
+            for index in range(self.chunk_count):
+                if not os.path.exists(self._chunk_path(index)) and not any(
+                    index in parts for parts in partitions
+                ):
+                    continue  # never stored, never mentioned: stay lazy
+                archive = self._load_chunk(index, for_write=True)
+                merge(archive, [parts.get(index) for parts in partitions])
+                self._stage_chunk(commit, pending, index, archive)
+            self._stage_meta(commit, pending, version_count)
+        except BaseException:
+            commit.abort()  # merge or staging failed: nothing committed
+            raise
+        commit.commit(meta={"version_count": version_count})
+        # Only a published commit moves the in-memory sidecar.
+        self._checksums = pending
+        self.generation += 1
+        self._invalidate_cached_chunks()
+        self._version_count = version_count
+
     def add_version(self, document: Optional[Element]) -> MergeStats:
         """Partition the version and merge chunk by chunk; all chunk
         files publish atomically behind one WAL record."""
         total = MergeStats()
         parts = self._partition(document) if document is not None else {}
-        pending = self._checksums.copy()
-        commit = self._wal.begin()
-        try:
-            for index in range(self.chunk_count):
-                # Chunks with no records this version still advance their
-                # version counter (as an empty version) so timestamps align.
-                chunk_exists = os.path.exists(self._chunk_path(index))
-                part = parts.get(index)
-                if part is None and not chunk_exists:
-                    continue  # nothing stored, nothing new: stay lazy
-                archive = self._load_chunk(index, for_write=True)
-                total.accumulate(archive.add_version(part))
-                self._stage_chunk(commit, pending, index, archive)
-            self._stage_meta(commit, pending, self._version_count + 1)
-        except BaseException:
-            commit.abort()  # staging failed: nothing was committed
-            raise
-        commit.commit(meta={"version_count": self._version_count + 1})
-        # Only a published commit moves the in-memory sidecar.
-        self._checksums = pending
-        self.generation += 1
-        self._invalidate_cached_chunks()
+        self._commit_chunks(
+            [parts],
+            lambda archive, slices: total.accumulate(archive.add_version(slices[0])),
+        )
         total.versions = 1
-        self._version_count += 1
         return total
 
     def ingest_batch(
         self,
         documents: Iterable[Optional[Element]],
-        on_chunk: Optional[Callable[[int, Archive], None]] = None,
         on_version: OnVersion = None,
     ) -> MergeStats:
         """Merge a whole sequence of versions chunk-major.
@@ -571,9 +568,8 @@ class ChunkedArchiver(StorageBackend):
         partitions all versions up front, then touches each chunk
         exactly once: load, run a fingerprint-memoized
         :class:`~repro.core.ingest.IngestSession` over the chunk's slice
-        of every version, store.  ``on_chunk(index, archive)`` fires as
-        each chunk's versions land (before the in-memory archive is
-        dropped) — the hook the index-maintaining persistent layer uses.
+        of every version, stage.  Everything publishes through one WAL
+        commit.
 
         The chunk-major order trades memory for I/O: the whole batch's
         partitions stay in memory until their chunks are processed, so
@@ -583,79 +579,29 @@ class ChunkedArchiver(StorageBackend):
         consecutive ``ingest_batch`` calls produce chunk files identical
         to one big batch (and to a per-version loop).
 
-        ``on_version`` is accepted for protocol uniformity but never
-        fires: the chunk-major order merges each version's records
-        chunk by chunk, so no per-version stats exist to report.
-
-        With ``workers > 1`` the per-chunk merges run in a process
-        pool (:mod:`repro.storage.parallel`): each worker receives the
-        chunk's verified at-rest bytes, the codec name and its slice of
-        every version, and returns the encoded payload.  All results
-        gather *before* the WAL commit begins, so a worker failure
-        stages nothing, and every payload still publishes through the
-        single commit point — crash semantics and output bytes are
-        identical to the serial path, which runs the very same task
-        function inline.
+        ``on_version(number, stats)`` fires once per version after the
+        commit publishes (never for a batch that rolls back), with that
+        version's merge stats summed across its chunks.
         """
         partitions = [
             self._partition(document) if document is not None else {}
             for document in documents
         ]
-        tasks = []
-        for index in range(self.chunk_count):
-            chunk_exists = os.path.exists(self._chunk_path(index))
-            if not chunk_exists and not any(
-                index in parts for parts in partitions
-            ):
-                continue  # never stored, never mentioned: stay lazy
-            tasks.append(
-                (
-                    index,
-                    self.read_part_payload(index),
-                    self.codec.name,
-                    self.spec,
-                    self.options,
-                    self._version_count,
-                    [parts.get(index) for parts in partitions],
-                )
-            )
-        merged = self.pool.map(_ingest_chunk_task, tasks)
+        per_version = [MergeStats() for _ in partitions]
+
+        def merge(archive: Archive, slices: list[Optional[Element]]) -> None:
+            session = IngestSession(archive)
+            for stats, part in zip(per_version, slices):
+                stats.accumulate(session.add(part))
+
+        base = self._version_count
+        self._commit_chunks(partitions, merge)
         total = MergeStats()
-        pending = self._checksums.copy()
-        commit = self._wal.begin()
-        # ``on_chunk`` fires only after the commit publishes, so index
-        # caches never adopt state a failed batch rolls back.
-        landed: list[tuple[int, bytes]] = []
-        try:
-            for index, encoded, presence_text, stats in merged:
-                self._stage(
-                    commit, pending, self._presence_path(index), presence_text
-                )
-                self._stage(commit, pending, self._chunk_path(index), encoded)
-                if on_chunk is not None:
-                    landed.append((index, encoded))
-                total.accumulate(stats)
-            self._stage_meta(commit, pending, self._version_count + len(partitions))
-        except BaseException:
-            commit.abort()  # staging failed: nothing was committed
-            raise
-        commit.commit(
-            meta={"version_count": self._version_count + len(partitions)}
-        )
-        self._checksums = pending
-        self.generation += 1
-        self._invalidate_cached_chunks()
-        total.versions = len(partitions)
-        self._version_count += len(partitions)
-        for index, encoded in landed:
-            # The hook wants the merged chunk archive; workers hand
-            # back its published bytes, so rebuild from those — the
-            # same decode ``load_part`` would do on the next read.
-            assert on_chunk is not None
-            on_chunk(
-                index,
-                self.codec.decode_archive(encoded, self.spec, self.options),
-            )
+        for number, stats in enumerate(per_version, start=base + 1):
+            stats.versions = 1
+            total.accumulate(stats)
+            if on_version is not None:
+                on_version(number, stats)
         return total
 
     def retrieve(
@@ -709,17 +655,23 @@ class ChunkedArchiver(StorageBackend):
     def history(self, path: str) -> ElementHistory:
         """Route a history query to the owning chunk.
 
-        The first step of the path identifies the root; the second the
-        record, whose key value decides the chunk.
+        Chunks are probed in order; one without stored data is skipped
+        and one that does not hold the element raises.  Every chunk
+        shares the global version numbering, so the first answer is
+        *the* answer; when no chunk answers, the last miss re-raises.
         """
-
-        def attempt(index: int):
-            if not os.path.exists(self._chunk_path(index)):
-                self._check_absent(self._chunk_path(index))
-                return None
-            return self._load_chunk(index).history(path)
-
-        return route_to_owning_chunk(self.chunk_count, attempt, path)
+        last_error: Optional[Exception] = None
+        for index in range(self.chunk_count):
+            try:
+                if not os.path.exists(self._chunk_path(index)):
+                    self._check_absent(self._chunk_path(index))
+                    continue
+                return self._load_chunk(index).history(path)
+            except Exception as error:  # not in this chunk
+                last_error = error
+        if last_error is not None:
+            raise last_error
+        raise ChunkedArchiverError(f"No element at {path!r} in any chunk")
 
     def diff(self, from_version: int, to_version: int) -> ChangeReport:
         """Element-level changes, merged across chunks.

@@ -3,16 +3,17 @@
 Chunks are independent by construction — hash-routed keys never share
 records across chunk files, every chunk carries the global version
 numbering, and all chunk payloads publish through one WAL commit point
-— so the hot chunk loops (batch ingest, recode, per-chunk query
-evaluation) are embarrassingly parallel.  :class:`ExecutionPool` is the
-one place that parallelism lives: an ordered ``map`` over a
+— so the CPU-heavy chunk loops (recode and per-chunk query evaluation)
+are embarrassingly parallel.  :class:`ExecutionPool` is the one place
+that parallelism lives: an ordered ``map`` over a
 ``concurrent.futures.ProcessPoolExecutor`` with a deterministic serial
-fallback at ``workers=1``.
+fallback at ``workers=1``.  Batch ingest stays serial: on a two-core
+machine its process pool lost to ``workers=1``.
 
 Design rules, enforced here so callers cannot get them wrong:
 
 * **Workers see plain data.**  Task payloads are bytes, codec *names*,
-  key specs and document slices — never live backends, WAL handles or
+  key specs and compiled plans — never live backends, WAL handles or
   open files.  Tasks are pickled eagerly in the parent, so an
   unpicklable payload fails fast as :class:`TaskNotPicklable` instead
   of dying opaquely inside the executor machinery.
@@ -30,8 +31,8 @@ Design rules, enforced here so callers cannot get them wrong:
   code path every existing caller already ran.
 
 The module-level ``_*_chunk_task`` functions are the worker entry
-points for the three hot loops.  They run identically inline (serial)
-and in a forked worker (parallel): same decode → work → encode
+points for the two parallel loops.  They run identically inline
+(serial) and in a forked worker (parallel): the same decode → work
 sequence on the same plain inputs, which is what makes parallel output
 byte-identical to serial by construction.
 """
@@ -42,7 +43,7 @@ import pickle
 import traceback
 from typing import Any, Callable, Iterable, Optional
 
-#: Test seam: set to an operation name ("ingest" / "recode" / "query")
+#: Test seam: set to an operation name ("recode" / "query")
 #: to make the matching worker task raise mid-flight.  Forked workers
 #: inherit the setting, so fault drills can kill a real child process
 #: and assert that nothing was published.  Never set in production.
@@ -184,50 +185,13 @@ class ExecutionPool:
         return results
 
 
-# -- worker task functions for the three hot chunk loops ----------------------
+# -- worker task functions for the parallel chunk loops -----------------------
 #
 # Imports stay inside the functions: the chunked backend imports this
 # module, so pulling ``chunked``/``query`` symbols at module scope
 # would cycle.  Each function takes one plain-data task tuple and
 # returns plain data; checksum verification happened in the parent
 # (the bytes handed over are already trusted).
-
-
-def _ingest_chunk_task(task: tuple) -> tuple:
-    """Nested-Merge one chunk's slice of every batch version.
-
-    Task: ``(index, payload, codec_name, spec, options, version_count,
-    slices)`` where ``payload`` is the chunk's verified at-rest bytes
-    (``None`` for a fresh chunk), ``version_count`` the archive-global
-    version counter a fresh chunk must catch up to, and ``slices`` one
-    partition shell (or ``None``) per batch version.
-
-    Returns ``(index, encoded_bytes, presence_text, merge_stats)``.
-    """
-    index, payload, codec_name, spec, options, version_count, slices = task
-    from ..core.archive import Archive
-    from ..core.ingest import IngestSession
-    from .chunked import _chunk_presence_of
-    from .codec import get_codec
-
-    _check_fault("ingest")
-    codec = get_codec(codec_name)
-    if payload is None:
-        archive = Archive(spec, options)
-        # Bring the fresh chunk up to the current version count so
-        # chunk timestamps stay globally aligned.
-        for _ in range(version_count):
-            archive.add_version(None)
-    else:
-        archive = codec.decode_archive(payload, spec, options)
-    session = IngestSession(archive)
-    for part in slices:
-        # Versions without records for this chunk are empty versions
-        # locally, keeping timestamps globally aligned.
-        session.add(part)
-    presence = _chunk_presence_of(archive).to_text()
-    encoded = codec.encode_archive(archive)
-    return (index, encoded, presence, session.stats)
 
 
 def _recode_chunk_task(task: tuple) -> tuple:

@@ -14,7 +14,7 @@ from .serializer import (
     to_string,
     write_file,
 )
-from .xpath import XPathError, XPathResult, evaluate, xpath, xpath_first
+from .xpath import XPathError, XPathResult, evaluate, xpath_first
 from .value import (
     compare_values,
     sort_by_value,
@@ -32,7 +32,6 @@ __all__ = [
     "XPathError",
     "XPathResult",
     "evaluate",
-    "xpath",
     "xpath_first",
     "canonical_form",
     "canonical_form_of_children",

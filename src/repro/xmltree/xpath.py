@@ -21,9 +21,8 @@ Expressions parse into structured :class:`Step` and :class:`Predicate`
 values rather than opaque closures, so other evaluators — notably the
 query planner of :mod:`repro.query.plan`, which pushes key-equality
 predicates down into the archive tree — can inspect what a step tests
-without re-parsing.  :func:`evaluate` is the primary entry point and
-returns a typed :class:`XPathResult`; :func:`xpath` is the original
-callable, kept as a shim returning the bare list.
+without re-parsing.  :func:`evaluate` is the entry point and returns a
+typed :class:`XPathResult` (its ``items`` is the bare list).
 """
 
 from __future__ import annotations
@@ -368,16 +367,6 @@ def virtual_shell(root: Element) -> Element:
     return shell
 
 
-def xpath(root: Element, expression: str) -> Union[list[Element], list[str]]:
-    """Backward-compatible shim over :func:`evaluate`.
-
-    Returns the bare item list with the historical mixed
-    ``list[Element] | list[str]`` type; new code should call
-    :func:`evaluate` and use the typed :class:`XPathResult`.
-    """
-    return evaluate(root, expression).items
-
-
 def xpath_first(root: Element, expression: str):
-    """First result of :func:`xpath`, or ``None``."""
+    """First result of :func:`evaluate`, or ``None``."""
     return evaluate(root, expression).first()

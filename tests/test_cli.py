@@ -260,6 +260,24 @@ class TestBackends:
             assert "ingested 2 versions" in capsys.readouterr().out
             assert run("get", archive, "2") == 0
 
+    def test_chunked_ingest_and_add_report_merge_stats(self, workspace, capsys):
+        """The chunked backend prints each version's merge stats like
+        the others do (its chunk-major batch sums them across chunks)."""
+        archive = workspace / "stats-chunked"
+        assert run(
+            "ingest", archive,
+            workspace / "v1.xml", workspace / "v2.xml",
+            "--keys", workspace / "keys.txt", "--backend", "chunked",
+        ) == 0
+        out = capsys.readouterr().out
+        for number in (1, 2):
+            assert f"as version {number} (visited " in out
+        assert "skipped 0 subtrees" in out
+        assert run("add", archive, workspace / "v3.xml") == 0
+        out = capsys.readouterr().out
+        assert "as version 3 (matched " in out
+        assert "inserted " in out
+
     def test_get_byte_identical_across_backends(self, workspace, capsys):
         texts = {}
         for kind in ("file", "chunked", "external"):

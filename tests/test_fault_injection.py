@@ -7,7 +7,8 @@ recover to a state that is byte-identical to either the pre-operation
 or the post-operation archive (never a torn mix), and ``fsck`` must
 report it clean.
 
-The rest of the suite covers the seam's other fault modes: torn
+The rest of the suite covers the seam's other fault modes: a merge
+that fails partway through a chunked batch publishes nothing; torn
 payload writes and flipped bits are detected on read as typed
 integrity errors; transient ``EIO``/``ENOSPC`` is retried with
 bounded backoff while persistent failure propagates; a torn WAL
@@ -18,9 +19,14 @@ import errno
 import os
 import shutil
 
+import json
+
 import pytest
 
+from repro.core.ingest import IngestSession
+from repro.data import OmimGenerator
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
+from repro.data.omim import OMIM_KEY_TEXT
 from repro.storage import (
     ChecksumMismatch,
     CrashPoint,
@@ -202,6 +208,70 @@ class TestCrashDrill:
             assert recovered.last_version in (2, 3)
         finally:
             recovered.close()
+
+
+class TestMidMergeFailure:
+    """Chunked ``ingest_batch`` merges each chunk inside the WAL commit;
+    a merge that raises partway through the chunk loop must abort that
+    commit and leave the archive — and the handle — exactly as before."""
+
+    @pytest.fixture(scope="class")
+    def releases(self):
+        return OmimGenerator(seed=21, initial_records=24).generate_versions(5)
+
+    def _create(self, path, codec, releases):
+        backend = create_archive(
+            path, OMIM_KEY_TEXT, kind="chunked", chunk_count=4, codec=codec
+        )
+        backend.ingest_batch([v.copy() for v in releases[:2]])
+        return backend
+
+    @pytest.mark.parametrize("codec", ["raw", "gzip", "xmill", "xbin"])
+    def test_failure_on_third_chunk_publishes_nothing(
+        self, tmp_path, codec, releases, monkeypatch
+    ):
+        path = str(tmp_path / "store")
+        backend = self._create(path, codec, releases)
+        before = snapshot(path)
+        sessions = []
+        merge = IngestSession.add
+
+        def failing_add(session, document):
+            if session not in sessions:
+                sessions.append(session)
+            if len(sessions) == 3:
+                raise RuntimeError("injected mid-merge failure")
+            return merge(session, document)
+
+        monkeypatch.setattr(IngestSession, "add", failing_add)
+        with pytest.raises(RuntimeError, match="injected mid-merge failure"):
+            backend.ingest_batch([v.copy() for v in releases[2:]])
+        monkeypatch.undo()
+
+        after = snapshot(path)
+        after.pop("wal.json", None)
+        before.pop("wal.json", None)
+        # Chunk and presence payloads, the checksum sidecar and the
+        # manifest (with its generation) are all byte-for-byte intact.
+        assert after == before
+        assert any(name.endswith(".presence") for name in before)
+        assert json.loads(after["manifest.json"])["generation"] == 1
+        assert backend.last_version == 2 and backend.generation == 1
+        report = fsck_archive(path)
+        assert report.clean, str(report)
+
+        # The same handle then ingests the batch as if nothing happened.
+        backend.ingest_batch([v.copy() for v in releases[2:]])
+        backend.close()
+        fresh_path = str(tmp_path / "fresh")
+        fresh = self._create(fresh_path, codec, releases)
+        fresh.ingest_batch([v.copy() for v in releases[2:]])
+        fresh.close()
+        recovered, expected = snapshot(path), snapshot(fresh_path)
+        recovered.pop("wal.json", None)
+        expected.pop("wal.json", None)
+        assert recovered == expected
+        assert fsck_archive(path).clean
 
 
 class TestSilentCorruptionOnWrite:

@@ -1,14 +1,22 @@
 """Tests for timestamp trees (Sec. 7.1) and the key index (Sec. 7.2)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Archive, ArchiveError, VersionSet, documents_equivalent
+from repro.core.tstree import tree_size
 from repro.data import OmimGenerator, omim_key_spec
 from repro.data.company import company_key_spec, company_versions
 from repro.indexes import (
+    IndexRecord,
     KeyIndex,
-    TimestampTreeIndex,
+    ProbeCount,
+    SortedChildList,
     build_timestamp_tree,
+    patch_timestamp_tree,
     search_timestamp_tree,
 )
 from repro.core.nodes import ArchiveNode
@@ -26,6 +34,44 @@ def _leaf(tag, versions, inherited):
     return ArchiveNode(
         label=KeyLabel(tag=tag, key=()), timestamp=VersionSet(versions)
     )
+
+
+def _children(timestamps):
+    """Leaf children; ``None`` inherits the parent's timestamp."""
+    return [
+        ArchiveNode(
+            label=KeyLabel(tag=f"c{i}", key=()),
+            timestamp=None if versions is None else VersionSet(versions),
+        )
+        for i, versions in enumerate(timestamps)
+    ]
+
+
+def _tree_nodes(tree):
+    """Every node of a timestamp tree in a fixed (pre-)order."""
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(child for child in (node.right, node.left) if child)
+    return nodes
+
+
+def _height(tree):
+    if tree is None or tree.is_leaf:
+        return 0
+    return 1 + max(_height(tree.left), _height(tree.right))
+
+
+VERSION_RANGE = VersionSet.parse("1-12")
+timestamp_lists = st.lists(
+    st.one_of(
+        st.none(),
+        st.lists(st.integers(min_value=1, max_value=12), min_size=1, unique=True),
+    ),
+    min_size=1,
+    max_size=40,
+)
 
 
 class TestTimestampTree:
@@ -81,22 +127,89 @@ class TestTimestampTree:
         tree = build_timestamp_tree(children, inherited)
         assert search_timestamp_tree(tree, 3, 1) == [0]
 
+    @given(timestamp_lists, st.integers(min_value=0, max_value=13))
+    @settings(max_examples=60, deadline=None)
+    def test_search_matches_linear_scan(self, timestamps, version):
+        children = _children(timestamps)
+        tree = build_timestamp_tree(children, VERSION_RANGE)
+        expected = [
+            index
+            for index, child in enumerate(children)
+            if version in child.effective_timestamp(VERSION_RANGE)
+        ]
+        assert search_timestamp_tree(tree, version, len(children)) == expected
 
-class TestTimestampTreeIndex:
-    def test_indexed_retrieval_matches_plain(self):
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 100, 1000])
+    def test_shape_is_balanced(self, count):
+        """Bottom-up pairing gives ``2k - 1`` nodes and height
+        ``ceil(log2 k)`` for ``k`` children."""
+        tree = build_timestamp_tree(_children([[1]] * count), VERSION_RANGE)
+        assert tree_size(tree) == 2 * count - 1
+        assert _height(tree) == (count - 1).bit_length()
+
+    @given(
+        st.sets(st.integers(min_value=0, max_value=63), min_size=1, max_size=64)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_probes_within_paper_bound(self, relevant):
+        """Sec. 7.1: finding the ``a`` children that hold a version
+        probes at most ``2a - 1 + 2a log(k/a)`` tree nodes."""
+        count = 64
+        children = _children(
+            [[1, 2] if index in relevant else [2] for index in range(count)]
+        )
+        tree = build_timestamp_tree(children, VERSION_RANGE)
+        probes = ProbeCount()
+        assert search_timestamp_tree(tree, 1, count, probes) == sorted(relevant)
+        alpha = len(relevant)
+        bound = 2 * alpha - 1 + 2 * alpha * math.log2(count / alpha)
+        assert probes.tree_probes <= bound
+        assert probes.fallback_scans == 0
+
+    @given(timestamp_lists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_patch_matches_rebuild(self, timestamps, data):
+        children = _children(timestamps)
+        tree = build_timestamp_tree(children, VERSION_RANGE)
+        root_before = tree.timestamp.copy()
+        moved = data.draw(timestamp_lists.filter(lambda t: len(t) == len(children)))
+        for child, versions in zip(children, moved):
+            child.timestamp = None if versions is None else VersionSet(versions)
+        changed = patch_timestamp_tree(tree, children, VERSION_RANGE)
+        rebuilt = build_timestamp_tree(children, VERSION_RANGE)
+        assert [node.timestamp for node in _tree_nodes(tree)] == [
+            node.timestamp for node in _tree_nodes(rebuilt)
+        ]
+        assert changed == (tree.timestamp != root_before)
+
+    def test_patch_without_changes_leaves_tree_alone(self):
+        children = _children([[1, 2], [3], None, [2, 5]])
+        tree = build_timestamp_tree(children, VERSION_RANGE)
+        before = [(node, node.timestamp) for node in _tree_nodes(tree)]
+        assert patch_timestamp_tree(tree, children, VERSION_RANGE) is False
+        assert [(node, node.timestamp) for node in _tree_nodes(tree)] == before
+        assert all(
+            node.timestamp is timestamp for node, timestamp in before
+        ), "an unchanged patch must not reallocate timestamps"
+        assert patch_timestamp_tree(None, [], VERSION_RANGE) is False
+
+
+class TestTreeGuidedRetrieval:
+    """Probe-accounted retrieval over the archive's own timestamp trees."""
+
+    def test_guided_retrieval_matches_scan(self):
         archive = company_archive()
-        index = TimestampTreeIndex(archive)
         spec = company_key_spec()
         for version in range(1, 5):
-            plain = archive.retrieve(version)
-            indexed, probes = index.retrieve(version)
-            assert documents_equivalent(plain, indexed, spec)
+            plain = archive.retrieve(version, guided=False)
+            probes = ProbeCount()
+            guided = archive.retrieve(version, probes=probes)
+            assert documents_equivalent(plain, guided, spec)
             assert probes.total() > 0
 
     def test_unknown_version_raises(self):
-        index = TimestampTreeIndex(company_archive())
         with pytest.raises(ValueError):
-            index.retrieve(40)
+            company_archive().retrieve(40, probes=ProbeCount())
 
     def test_probe_savings_on_sparse_version(self):
         """Retrieving a sparse early version probes far fewer nodes than
@@ -112,14 +225,12 @@ class TestTimestampTreeIndex:
         archive = Archive(spec)
         for version in generator.generate_versions(8):
             archive.add_version(version)
-        index = TimestampTreeIndex(archive)
-        _, probes = index.retrieve(1)
-        naive = index.naive_probe_count(1)
-        assert probes.total() < naive
+        probes = ProbeCount()
+        archive.retrieve(1, probes=probes)
+        assert probes.total() < archive.scan_probe_count(1)
 
     def test_tree_node_count_positive(self):
-        index = TimestampTreeIndex(company_archive())
-        assert index.tree_node_count() > 0
+        assert company_archive().warm_timestamp_trees() > 0
 
 
 class TestKeyIndex:
@@ -169,3 +280,100 @@ class TestKeyIndex:
     def test_record_count(self):
         index = KeyIndex(company_archive())
         assert index.record_count() >= 8
+
+    def test_matches_archive_history_on_omim(self):
+        """Every record that ever existed — deleted ones included — has
+        the same history through the index as through the archive."""
+        archive = Archive(omim_key_spec())
+        versions = OmimGenerator(seed=5, initial_records=60).generate_versions(3)
+        for version in versions:
+            archive.add_version(version)
+        index = KeyIndex(archive)
+        nums = {
+            record.find("Num").text_content()
+            for version in versions
+            for record in version.find_all("Record")
+        }
+        assert len(nums) > 60
+        for num in sorted(nums):
+            path = f"/ROOT/Record[Num={num}]"
+            assert index.history(path)[0] == archive.history(path).existence
+
+    def test_child_lists_sorted_and_complete(self):
+        """One record per archive node below the root, each list sorted
+        by label token, each record pointing at its node's own list."""
+        archive = company_archive()
+        index = KeyIndex(archive)
+
+        def check(node, child_list):
+            tokens = [record.token for record in child_list.records]
+            assert tokens == sorted(tokens)
+            assert sorted(tokens) == sorted(
+                child.label.sort_token() for child in node.children
+            )
+            by_token = {child.label.sort_token(): child for child in node.children}
+            total = 0
+            for record in child_list.records:
+                child = by_token[record.token]
+                total += 1
+                if child.children:
+                    total += check(child, record.child_list)
+                else:
+                    assert record.child_list is None
+            return total
+
+        assert check(archive.root, index._root_list) == index.record_count()
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "db/dept[name=finance]",
+            "/db/dept[name=hr]/emp[fn=John, ln=Doe]",
+            "/db/dept[name=finance]/emp[fn=John]",
+            "/db/dept[name=finance]/emp[fn=John, ln=Doe]/sal/x",
+        ],
+    )
+    def test_errors_match_archive(self, path):
+        """Malformed and missing paths fail through the index exactly as
+        they do through the archive scan."""
+        archive = company_archive()
+        with pytest.raises(ArchiveError) as expected:
+            archive.history(path)
+        with pytest.raises(ArchiveError) as got:
+            KeyIndex(archive).history(path)
+        assert str(got.value) == str(expected.value)
+
+
+class TestSortedChildList:
+    @given(
+        st.sets(st.text(alphabet="abcdef", min_size=1, max_size=4), max_size=200),
+        st.text(alphabet="abcdefg", min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_find_is_binary_search(self, present, probe):
+        """``find`` hits exactly the stored labels and costs
+        ``O(log d)`` comparisons for a list of ``d`` records."""
+        labels = [KeyLabel(tag="r", key=(("k", value),)) for value in present]
+        records = sorted(
+            (
+                IndexRecord(
+                    token=label.sort_token(),
+                    label=label,
+                    child_list=None,
+                    timestamp=VersionSet([1]),
+                )
+                for label in labels
+            ),
+            key=lambda record: record.token,
+        )
+        child_list = SortedChildList(records=records)
+        limit = max(1, len(records)).bit_length()
+        for label in labels:
+            comparisons = [0]
+            assert child_list.find(label, comparisons).label == label
+            assert comparisons[0] <= limit
+        target = KeyLabel(tag="r", key=(("k", probe),))
+        comparisons = [0]
+        found = child_list.find(target, comparisons)
+        assert (found is not None) == (probe in present)
+        assert comparisons[0] <= limit

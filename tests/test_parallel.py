@@ -7,11 +7,12 @@ Three layers of guarantees:
   exception types, same process), re-raises worker failures as typed
   :class:`WorkerError` carrying the original exception's identity, and
   rejects unpicklable task payloads eagerly with a clear message.
-* **Determinism** — parallel ``ingest_batch``, ``recode`` and chunk
-  query fan-out produce *byte-identical* archives and *identical*
-  query answers to serial runs, across the backend × codec ×
-  compaction matrix (hypothesis-driven).
-* **Crash containment** — a worker dying mid-encode publishes nothing:
+* **Determinism** — parallel ``recode`` and chunk query fan-out
+  produce *byte-identical* archives and *identical* query answers to
+  serial runs, across the backend × codec × compaction matrix
+  (hypothesis-driven); consecutive serial batches compose to the
+  archive one batch builds.
+* **Crash containment** — a worker dying mid-recode publishes nothing:
   every result gathers before the single WAL commit point, so the
   archive stays untouched and fsck-clean.
 """
@@ -192,10 +193,9 @@ class TestExecutionPool:
 class TestByteIdentity:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_ingest_and_recode_match_serial(self, data):
-        """Across backend × codec × compaction, archives built with a
-        worker pool are byte-for-byte the archives built serially, and
-        so are their recodes."""
+    def test_recode_matches_serial(self, data):
+        """Across backend × codec × compaction, recoding with a worker
+        pool rewrites an archive byte-for-byte as a serial recode."""
         import tempfile
 
         kind = data.draw(
@@ -224,39 +224,32 @@ class TestByteIdentity:
                     chunk_count=3,
                     options=options,
                     codec=codec,
-                    workers=width,
                 )
                 backend.ingest_batch(v.copy() for v in versions)
                 backend.close()
-                paths[label] = path
-            assert digest_tree(paths["serial"]) == digest_tree(paths["parallel"])
-            for label, width in (("serial", 1), ("parallel", workers)):
-                backend = open_archive(paths[label], workers=width)
+                backend = open_archive(path, workers=width)
                 backend.recode(target)
                 backend.close()
+                paths[label] = path
             assert digest_tree(paths["serial"]) == digest_tree(paths["parallel"])
 
     def test_incremental_batches_match_one_batch(self, tmp_path):
-        """Parallel chunk-major batches compose: two consecutive
-        parallel batches equal one serial batch of everything."""
+        """Chunk-major batches compose: two consecutive batches equal
+        one batch of everything."""
         versions = dense_versions(6)
-        serial = create_archive(
-            tmp_path / "serial", REC_KEY_TEXT, kind="chunked", chunk_count=4
+        whole = create_archive(
+            tmp_path / "whole", REC_KEY_TEXT, kind="chunked", chunk_count=4
         )
-        serial.ingest_batch(v.copy() for v in versions)
-        serial.close()
-        parallel_backend = create_archive(
-            tmp_path / "parallel",
-            REC_KEY_TEXT,
-            kind="chunked",
-            chunk_count=4,
-            workers=3,
+        whole.ingest_batch(v.copy() for v in versions)
+        whole.close()
+        split = create_archive(
+            tmp_path / "split", REC_KEY_TEXT, kind="chunked", chunk_count=4
         )
-        parallel_backend.ingest_batch(v.copy() for v in versions[:3])
-        parallel_backend.ingest_batch(v.copy() for v in versions[3:])
-        parallel_backend.close()
-        serial_tree = digest_tree(str(tmp_path / "serial"))
-        split_tree = digest_tree(str(tmp_path / "parallel"))
+        split.ingest_batch(v.copy() for v in versions[:3])
+        split.ingest_batch(v.copy() for v in versions[3:])
+        split.close()
+        serial_tree = digest_tree(str(tmp_path / "whole"))
+        split_tree = digest_tree(str(tmp_path / "split"))
         # The two runs commit a different number of times (one batch vs
         # two), which the manifest's generation counter records by
         # design — so the manifest and the checksum sidecar (which
@@ -267,56 +260,16 @@ class TestByteIdentity:
             split_tree.pop(bookkeeping)
         assert serial_tree == split_tree
         serial_manifest = json.loads(
-            (tmp_path / "serial" / "manifest.json").read_text()
+            (tmp_path / "whole" / "manifest.json").read_text()
         )
         split_manifest = json.loads(
-            (tmp_path / "parallel" / "manifest.json").read_text()
+            (tmp_path / "split" / "manifest.json").read_text()
         )
         assert serial_manifest.pop("generation") == 1
         assert split_manifest.pop("generation") == 2
         serial_manifest.pop("sha256")
         split_manifest.pop("sha256")
         assert serial_manifest == split_manifest
-
-    def test_merge_stats_match_serial(self, tmp_path):
-        versions = dense_versions(4)
-        totals = []
-        for label, width in (("serial", 1), ("parallel", 3)):
-            backend = create_archive(
-                tmp_path / label,
-                REC_KEY_TEXT,
-                kind="chunked",
-                chunk_count=4,
-                workers=width,
-            )
-            totals.append(backend.ingest_batch(v.copy() for v in versions))
-            backend.close()
-        assert totals[0] == totals[1]
-
-    def test_on_chunk_hook_sees_merged_archives(self, tmp_path):
-        """The index-maintenance hook receives equivalent chunk
-        archives whether the merge ran inline or in workers."""
-        versions = dense_versions(3)
-        seen = {}
-        for label, width in (("serial", 1), ("parallel", 3)):
-            landed = {}
-            backend = create_archive(
-                tmp_path / label,
-                REC_KEY_TEXT,
-                kind="chunked",
-                chunk_count=4,
-                workers=width,
-            )
-            backend.ingest_batch(
-                (v.copy() for v in versions),
-                on_chunk=lambda index, archive: landed.__setitem__(
-                    index, archive.to_xml_string()
-                ),
-            )
-            backend.close()
-            seen[label] = landed
-        assert seen["serial"] == seen["parallel"]
-        assert seen["serial"]  # the hook did fire
 
 
 # -- query fan-out equivalence -------------------------------------------------
@@ -333,28 +286,22 @@ class TestParallelQuery:
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
-        base = tmp_path_factory.mktemp("parallel-query")
+        store = tmp_path_factory.mktemp("parallel-query") / "store"
         versions = dense_versions(5)
-        for label, width in (("serial", 1), ("parallel", 3)):
-            backend = create_archive(
-                base / label,
-                REC_KEY_TEXT,
-                kind="chunked",
-                chunk_count=4,
-                codec="gzip",
-                workers=width,
-            )
-            backend.ingest_batch(v.copy() for v in versions)
-            backend.close()
-        return base, len(versions)
+        backend = create_archive(
+            store, REC_KEY_TEXT, kind="chunked", chunk_count=4, codec="gzip"
+        )
+        backend.ingest_batch(v.copy() for v in versions)
+        backend.close()
+        return store, len(versions)
 
     @pytest.mark.parametrize("expression", EXPRESSIONS)
     def test_answers_and_accounting_match_serial(self, stores, expression):
-        base, last = stores
+        store, last = stores
         rendered = {}
         results = {}
         for label, width in (("serial", 1), ("parallel", 3)):
-            with open_db(base / label, workers=width) as db:
+            with open_db(store, workers=width) as db:
                 result = db.at(last).select(expression)
                 rendered[label] = [
                     item if isinstance(item, str) else to_string(item)
@@ -370,8 +317,8 @@ class TestParallelQuery:
         assert serial.parallel_chunks == 0 and serial.workers_used == 0
 
     def test_fanout_reports_worker_accounting(self, stores):
-        base, last = stores
-        with open_db(base / "parallel", workers=3) as db:
+        store, last = stores
+        with open_db(store, workers=3) as db:
             assert db.workers == 3
             result = db.at(last).select("/db/rec")
             result.all()
@@ -381,8 +328,8 @@ class TestParallelQuery:
     def test_routed_lookup_stays_single_chunk(self, stores):
         """A partition-level key lookup still opens one chunk — no
         pointless fan-out for point queries."""
-        base, last = stores
-        with open_db(base / "parallel", workers=3) as db:
+        store, last = stores
+        with open_db(store, workers=3) as db:
             result = db.at(last).select("/db/rec[id='7']")
             assert len(result.all()) == 1
             assert result.stats.parallel_chunks == 0
@@ -410,7 +357,8 @@ class TestWorkersKnob:
         plain.close()
 
     def test_cli_workers_flag(self, tmp_path, capsys):
-        """``xarch ingest/recode/query --workers N`` round-trips."""
+        """``xarch recode/query --workers N`` round-trips; ``ingest``
+        has no such flag (batch ingest always merges serially)."""
         from repro.cli import main
 
         keys = tmp_path / "keys.txt"
@@ -434,8 +382,6 @@ class TestWorkersKnob:
                     "chunked",
                     "--chunks",
                     "4",
-                    "--workers",
-                    "2",
                 ]
             )
             == 0
@@ -446,6 +392,8 @@ class TestWorkersKnob:
         )
         err = capsys.readouterr().err
         assert "across 2 workers" in err
+        with pytest.raises(SystemExit):
+            main(["ingest", str(store), str(source), "--workers", "2"])
 
 
 # -- crash containment ---------------------------------------------------------
@@ -453,7 +401,7 @@ class TestWorkersKnob:
 
 @needs_fork
 class TestWorkerCrashDrill:
-    """A worker crash mid-encode publishes nothing.
+    """A worker crash mid-recode publishes nothing.
 
     The drill arms the module-level fault seam
     (``parallel._WORKER_FAULT``); forked workers inherit it and raise
@@ -470,7 +418,6 @@ class TestWorkerCrashDrill:
             kind="chunked",
             chunk_count=4,
             codec="gzip",
-            workers=2,
         )
         backend.ingest_batch(v.copy() for v in dense_versions(3))
         backend.close()
@@ -481,17 +428,6 @@ class TestWorkerCrashDrill:
         assert not glob.glob(os.path.join(store, "*.tmp"))
         report = fsck_archive(str(store))
         assert report.clean, str(report)
-
-    def test_ingest_worker_crash_publishes_nothing(self, store, monkeypatch):
-        before = digest_tree(str(store))
-        backend = open_archive(store, workers=2)
-        monkeypatch.setattr(parallel, "_WORKER_FAULT", "ingest")
-        with pytest.raises(WorkerError, match="injected ingest worker fault"):
-            backend.ingest_batch(v.copy() for v in dense_versions(5))
-        assert backend.last_version == 3  # the batch never landed
-        monkeypatch.setattr(parallel, "_WORKER_FAULT", None)
-        backend.close()
-        self._assert_untouched(store, before)
 
     def test_recode_worker_crash_publishes_nothing(self, store, monkeypatch):
         before = digest_tree(str(store))

@@ -25,8 +25,8 @@ from repro.core import (
 )
 from repro.data import OmimChangeRates, OmimGenerator, omim_key_spec
 from repro.data.company import company_key_spec, company_versions
-from repro.indexes import KeyIndex, TimestampTreeIndex
-from repro.storage import ChunkedArchiver, PersistentIngestor
+from repro.indexes import KeyIndex
+from repro.storage import ChunkedArchiver, open_archive
 from repro.xmltree import Element, Text
 from repro.xmltree.serializer import to_string
 
@@ -246,14 +246,14 @@ class TestMutationCounterAndPatching:
 
 
 class TestIndexStaleness:
-    def test_timestamp_tree_index_sees_new_versions(self):
+    def test_timestamp_trees_see_new_versions(self):
         versions = company_versions()
         archive = Archive(company_key_spec())
         archive.add_version(versions[0])
-        index = TimestampTreeIndex(archive)
-        index.retrieve(1)
-        archive.add_version(versions[1])  # no refresh() call
-        document, probes = index.retrieve(2)
+        archive.retrieve(1)  # build the trees
+        archive.add_version(versions[1])  # no explicit refresh
+        probes = ProbeCount()
+        document = archive.retrieve(2, probes=probes)
         assert documents_equivalent(
             document, archive.retrieve(2, guided=False), archive.spec
         )
@@ -424,35 +424,24 @@ class TestChunkPruning:
             )
         assert reopened.chunks_pruned == 0
 
-    def test_persistent_ingestor_copy_content_isolates_cache(self, tmp_path):
-        """Mutating a ``copy_content=True`` retrieval must not leak into
-        the ingestor's cached chunk archives (which later flushes would
-        persist)."""
+    def test_batch_ingested_store_prunes_on_reopen(self, tmp_path):
+        """Presence sidecars written by ``ingest_batch`` prune chunks
+        for a fresh handle, and the pruned retrieval stays correct."""
         spec = omim_key_spec()
         versions = self._versions()
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=4)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        document, _ = ingestor.retrieve(2, copy_content=True)
-        before = to_string(ingestor.retrieve(2)[0])
-        for node in document.iter_elements():
-            if node.tag == "Title" and node.children:
-                node.children[0].text = "VANDALIZED"
-        assert to_string(ingestor.retrieve(2)[0]) == before
-
-    def test_persistent_ingestor_prunes_unadopted_chunks(self, tmp_path):
-        spec = omim_key_spec()
-        versions = self._versions()
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=8)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        ingestor.drop_caches()  # force re-adoption through the prune gate
+        writer = ChunkedArchiver(str(tmp_path), spec, chunk_count=8)
+        writer.ingest_batch([v.copy() for v in versions])
+        reader = open_archive(str(tmp_path), spec, recover=False)
         expected = sum(
             1
-            for index in range(ingestor.chunked.chunk_count)
-            if os.path.exists(ingestor.chunked._chunk_path(index))
-            and 1 not in ingestor.chunked.chunk_presence(index)
+            for index in range(reader.chunk_count)
+            if os.path.exists(reader._chunk_path(index))
+            and 1 not in reader.chunk_presence(index)
         )
-        document, _ = ingestor.retrieve(1)
-        assert ingestor.chunks_pruned == expected > 0
+        probes = ProbeCount()
+        document = reader.retrieve(1, probes=probes)
+        assert reader.chunks_pruned == expected > 0
+        assert probes.total() > 0
         monolithic = Archive(spec)
         for version in versions:
             monolithic.add_version(version.copy())

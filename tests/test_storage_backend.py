@@ -366,29 +366,31 @@ class TestCrashRecovery:
         directory = path if os.path.isdir(path) else os.path.dirname(path)
         assert not any(n.endswith(".tmp") for n in os.listdir(directory))
 
-    def test_on_chunk_not_fired_for_rolled_back_batch(
-        self, tmp_path, spec, versions, monkeypatch
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_on_version_not_fired_for_rolled_back_batch(
+        self, kind, tmp_path, spec, versions, monkeypatch
     ):
-        """Index-cache hooks must only see committed state: a batch
-        that dies before publish fires no ``on_chunk``, so caches never
-        adopt versions the disk rolled back."""
-        backend = make_backend("chunked", str(tmp_path), spec)
+        """Progress callbacks must only see committed state: a batch
+        that dies before publish fires no ``on_version``, so callers
+        never report versions the disk rolled back."""
+        backend = make_backend(kind, str(tmp_path), spec)
         backend.ingest_batch([v.copy() for v in versions[:2]])
         seen = []
         monkeypatch.setattr(WriteAheadLog, "publish", _crash_before_publish)
         with pytest.raises(SimulatedCrash):
             backend.ingest_batch(
                 [v.copy() for v in versions[2:]],
-                on_chunk=lambda index, archive: seen.append(index),
+                on_version=lambda number, stats: seen.append(number),
             )
         assert seen == []
         monkeypatch.undo()
-        backend2 = make_backend("chunked", str(tmp_path), spec)
+        backend2 = make_backend(kind, str(tmp_path), spec)
         backend2.ingest_batch(
             [v.copy() for v in versions[2:]],
-            on_chunk=lambda index, archive: seen.append(index),
+            on_version=lambda number, stats: seen.append(number),
         )
-        assert seen  # committed batches still announce their chunks
+        # Committed batches still announce every version.
+        assert seen == list(range(3, len(versions) + 1))
 
     def test_torn_wal_record_treated_as_uncommitted(self, tmp_path, spec, versions):
         backend = make_backend("chunked", str(tmp_path), spec)

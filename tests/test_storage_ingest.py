@@ -1,19 +1,19 @@
 """Tests for batched ingestion through the persistent layer.
 
 ``ChunkedArchiver.ingest_batch`` must flush chunk files identical to a
-per-version ``add_version`` loop while touching each chunk only once;
-``PersistentIngestor`` must keep its key/timestamp-tree indexes current
-as chunks land; ``ExternalArchiver.ingest_batch`` must match the
-version-at-a-time stream merge.
+per-version ``add_version`` loop while touching each chunk only once,
+report each version's merge stats, and leave a store whose probed
+retrieval and history serve every batch; ``ExternalArchiver.ingest_batch``
+must match the version-at-a-time stream merge.
 """
 
 import os
 
 import pytest
 
-from repro.core import Archive, documents_equivalent
+from repro.core import Archive, MergeStats, ProbeCount, documents_equivalent
 from repro.data import OmimGenerator, omim_key_spec
-from repro.storage import ChunkedArchiver, ExternalArchiver, PersistentIngestor
+from repro.storage import ChunkedArchiver, ExternalArchiver
 
 
 @pytest.fixture
@@ -68,83 +68,94 @@ class TestChunkedIngestBatch:
                 archiver.retrieve(number), monolithic.retrieve(number), spec
             )
 
-    def test_on_chunk_hook_fires_per_flushed_chunk(self, tmp_path, versions, spec):
+    def test_on_version_reports_each_version(self, tmp_path, versions, spec):
+        """Every batch version is announced once, in order, with its
+        merge stats summed across chunks; the per-version stats add up
+        to the batch total."""
         archiver = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
+        archiver.ingest_batch([versions[0].copy()])
         seen = []
-        archiver.ingest_batch(
-            [v.copy() for v in versions[:2]],
-            on_chunk=lambda index, archive: seen.append(
-                (index, archive.version_count)
-            ),
+        total = archiver.ingest_batch(
+            [v.copy() for v in versions[1:]],
+            on_version=lambda number, stats: seen.append((number, stats)),
         )
-        touched = [
-            index
-            for index in range(4)
-            if os.path.exists(archiver._chunk_path(index))
-        ]
-        assert [index for index, _ in seen] == touched
-        assert all(count == 2 for _, count in seen)
+        assert [number for number, _ in seen] == list(range(2, len(versions) + 1))
+        assert all(stats.versions == 1 for _, stats in seen)
+        assert all(stats.nodes_visited() > 0 for _, stats in seen)
+        summed = MergeStats()
+        for _, stats in seen:
+            summed.accumulate(stats)
+        assert summed == total
+
+    def test_single_version_stats_match_add_version_total(
+        self, tmp_path, versions, spec
+    ):
+        """A one-version batch on a fresh store reports the same merge
+        work as ``add_version`` (no memo to skip with yet)."""
+        batched = ChunkedArchiver(str(tmp_path / "batch"), spec, chunk_count=4)
+        reported = []
+        batched.ingest_batch(
+            [versions[0].copy()],
+            on_version=lambda number, stats: reported.append(stats),
+        )
+        looped = ChunkedArchiver(str(tmp_path / "loop"), spec, chunk_count=4)
+        assert reported == [looped.add_version(versions[0].copy())]
 
 
-class TestPersistentIngestor:
-    def test_indexed_retrieval_matches_originals(self, tmp_path, versions, spec):
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=4)
-        ingestor.ingest_batch([v.copy() for v in versions])
+class TestBatchIngestedStore:
+    """Reads over a batch-ingested chunked store: probed retrieval,
+    history across batches and after reopening."""
+
+    def test_probed_retrieval_matches_originals(self, tmp_path, versions, spec):
+        archiver = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
+        archiver.ingest_batch([v.copy() for v in versions])
         for number, original in enumerate(versions, start=1):
-            document, probes = ingestor.retrieve(number)
+            probes = ProbeCount()
+            document = archiver.retrieve(number, probes=probes)
             assert documents_equivalent(document, original, spec)
             assert probes.total() > 0
 
-    def test_indexes_follow_across_batches(self, tmp_path, versions, spec):
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=4)
-        ingestor.ingest_batch([v.copy() for v in versions[:2]])
+    def test_history_follows_across_batches(self, tmp_path, versions, spec):
+        archiver = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
+        archiver.ingest_batch([v.copy() for v in versions[:2]])
         num = versions[0].find("Record").find("Num").text_content()
-        before = ingestor.history(f"/ROOT/Record[Num={num}]")
+        before = archiver.history(f"/ROOT/Record[Num={num}]")
         assert before.existence.max_version() == 2
-        ingestor.ingest_batch([v.copy() for v in versions[2:]])
-        after = ingestor.history(f"/ROOT/Record[Num={num}]")
+        archiver.ingest_batch([v.copy() for v in versions[2:]])
+        after = archiver.history(f"/ROOT/Record[Num={num}]")
         assert after.existence.max_version() == len(versions)
 
     def test_history_includes_content_changes(self, tmp_path, versions, spec):
-        """Parity with ChunkedArchiver.history: the ``changes`` runs of
-        a frontier element must come back, not just existence."""
-        from repro.storage import ChunkedArchiver
-
-        ingestor = PersistentIngestor(str(tmp_path / "ing"), spec, chunk_count=4)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        chunked = ChunkedArchiver(str(tmp_path / "ref"), spec, chunk_count=4)
+        """The ``changes`` runs of a frontier element come back from a
+        batch-ingested store exactly as from a per-version loop."""
+        batched = ChunkedArchiver(str(tmp_path / "batch"), spec, chunk_count=4)
+        batched.ingest_batch([v.copy() for v in versions])
+        looped = ChunkedArchiver(str(tmp_path / "loop"), spec, chunk_count=4)
         for version in versions:
-            chunked.add_version(version.copy())
+            looped.add_version(version.copy())
         num = versions[0].find("Record").find("Num").text_content()
         path = f"/ROOT/Record[Num={num}]/Title"
-        indexed = ingestor.history(path)
-        reference = chunked.history(path)
-        assert indexed.changes is not None
-        assert [
-            (ts.to_text(), content) for ts, content in indexed.changes
-        ] == [(ts.to_text(), content) for ts, content in reference.changes]
+        got = batched.history(path)
+        reference = looped.history(path)
+        assert got.changes is not None
+        assert [(ts.to_text(), content) for ts, content in got.changes] == [
+            (ts.to_text(), content) for ts, content in reference.changes
+        ]
 
-    def test_drop_caches_readopts_lazily(self, tmp_path, versions, spec):
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=3)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        ingestor.drop_caches()
-        assert not ingestor._key_indexes
-        document, _ = ingestor.retrieve(len(versions))
-        assert documents_equivalent(document, versions[-1], spec)
-
-    def test_restart_adopts_chunks_lazily(self, tmp_path, versions, spec):
-        first = PersistentIngestor(str(tmp_path), spec, chunk_count=3)
+    def test_reopened_handle_reads_the_batch(self, tmp_path, versions, spec):
+        first = ChunkedArchiver(str(tmp_path), spec, chunk_count=3)
         first.ingest_batch([v.copy() for v in versions])
-        second = PersistentIngestor(str(tmp_path), spec, chunk_count=3)
+        second = ChunkedArchiver(str(tmp_path), spec, chunk_count=3)
         assert second.last_version == len(versions)
-        document, _ = second.retrieve(len(versions))
-        assert documents_equivalent(document, versions[-1], spec)
+        assert documents_equivalent(
+            second.retrieve(len(versions)), versions[-1], spec
+        )
 
     def test_unknown_version_rejected(self, tmp_path, versions, spec):
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=2)
-        ingestor.ingest_batch([versions[0].copy()])
+        archiver = ChunkedArchiver(str(tmp_path), spec, chunk_count=2)
+        archiver.ingest_batch([versions[0].copy()])
         with pytest.raises(ValueError):
-            ingestor.retrieve(2)
+            archiver.retrieve(2)
 
 
 class TestExternalIngestBatch:

@@ -13,7 +13,6 @@ from repro.xmltree.xpath import (
     XPathResult,
     evaluate,
     parse_steps,
-    xpath,
     xpath_first,
 )
 
@@ -30,50 +29,50 @@ DOC = parse_document(
 
 class TestChildSteps:
     def test_simple_path(self):
-        assert len(xpath(DOC, "/db/dept/emp")) == 3
+        assert len(evaluate(DOC, "/db/dept/emp").items) == 3
 
     def test_root_mismatch(self):
-        assert xpath(DOC, "/nope/dept") == []
+        assert evaluate(DOC, "/nope/dept").items == []
 
     def test_wildcard(self):
-        assert len(xpath(DOC, "/db/*/emp")) == 3
+        assert len(evaluate(DOC, "/db/*/emp").items) == 3
 
     def test_text_result(self):
-        assert xpath(DOC, "/db/dept/name/text()") == ["finance", "marketing"]
+        assert evaluate(DOC, "/db/dept/name/text()").items == ["finance", "marketing"]
 
 
 class TestDescendantSteps:
     def test_double_slash_root(self):
-        assert len(xpath(DOC, "//tel")) == 2
+        assert len(evaluate(DOC, "//tel").items) == 2
 
     def test_double_slash_mid(self):
-        assert len(xpath(DOC, "/db//fn")) == 3
+        assert len(evaluate(DOC, "/db//fn").items) == 3
 
     def test_no_duplicates(self):
-        names = xpath(DOC, "//name")
+        names = evaluate(DOC, "//name").items
         assert len(names) == len({id(n) for n in names})
 
 
 class TestPredicates:
     def test_child_value(self):
-        (dept,) = xpath(DOC, "/db/dept[name='finance']")
+        (dept,) = evaluate(DOC, "/db/dept[name='finance']").items
         assert dept.find("name").text_content() == "finance"
 
     def test_chained(self):
-        emps = xpath(DOC, "/db/dept[name='finance']/emp[fn='John'][ln='Doe']")
+        emps = evaluate(DOC, "/db/dept[name='finance']/emp[fn='John'][ln='Doe']").items
         assert len(emps) == 1
 
     def test_positional(self):
-        (second,) = xpath(DOC, "/db/dept[2]")
+        (second,) = evaluate(DOC, "/db/dept[2]").items
         assert second.find("name").text_content() == "marketing"
 
     def test_attribute(self):
         doc = parse_document('<site><item id="i1"/><item id="i2"/></site>')
-        (item,) = xpath(doc, "/site/item[@id='i2']")
+        (item,) = evaluate(doc, "/site/item[@id='i2']").items
         assert item.get_attribute("id") == "i2"
 
     def test_text_predicate(self):
-        (name,) = xpath(DOC, "/db/dept/name[text()='finance']")
+        (name,) = evaluate(DOC, "/db/dept/name[text()='finance']").items
         assert name.text_content() == "finance"
 
     def test_first_helper(self):
@@ -95,7 +94,7 @@ class TestErrors:
     )
     def test_rejected(self, expression):
         with pytest.raises(XPathError):
-            xpath(DOC, expression)
+            evaluate(DOC, expression)
 
 
 class TestTypedResults:
@@ -129,9 +128,8 @@ class TestTypedResults:
         assert result == ["finance", "marketing"]
         assert result == evaluate(DOC, "/db/dept/name/text()")
 
-    def test_shim_returns_bare_list(self):
-        assert isinstance(xpath(DOC, "/db/dept"), list)
-        assert xpath(DOC, "/db/dept") == evaluate(DOC, "/db/dept").items
+    def test_items_is_bare_list(self):
+        assert isinstance(evaluate(DOC, "/db/dept").items, list)
 
 
 class TestStructuredSteps:
@@ -164,13 +162,13 @@ class TestQueryingArchives:
         return archive.to_xml()
 
     def test_find_timestamp_elements(self, archive_xml):
-        t_nodes = xpath(archive_xml, "//T[@t='3']")
+        t_nodes = evaluate(archive_xml, "//T[@t='3']").items
         assert t_nodes  # the marketing dept and John's 90K salary
 
     def test_navigate_through_timestamps(self, archive_xml):
-        salaries = xpath(archive_xml, "//sal/T/text()")
+        salaries = evaluate(archive_xml, "//sal/T/text()").items
         assert set(salaries) >= {"90K", "95K"}
 
     def test_employees_in_archive(self, archive_xml):
-        first_names = set(xpath(archive_xml, "//emp/fn/text()"))
+        first_names = set(evaluate(archive_xml, "//emp/fn/text()").items)
         assert first_names == {"John", "Jane"}
